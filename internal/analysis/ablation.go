@@ -47,18 +47,10 @@ func HeuristicAblation(ctx context.Context, run *Run) ([]AblationRow, error) {
 		}
 	}
 	world := run.Y2020.World
-	if world.Streamed {
-		return nil, fmt.Errorf("analysis: ablations re-measure the world and need resident pages; run without -compact/-mem-budget")
-	}
 
 	var out []AblationRow
 	for _, v := range variants {
-		cfg := measure.Config{
-			Resolver: world.NewResolver(),
-			Certs:    world.Certs,
-			Pages:    world,
-			CDNMap:   measure.CDNMap(world.CNAMEToCDN),
-		}
+		cfg := ablationConfig(world)
 		v.adjust(&cfg)
 		res, err := measure.Run(ctx, world.Sites, cfg)
 		if err != nil {
@@ -91,6 +83,20 @@ func HeuristicAblation(ctx context.Context, run *Run) ([]AblationRow, error) {
 	return out, nil
 }
 
+// ablationConfig is the re-measurement config of both ablations. They
+// report only values derived from the DNS class, and no DNS rule reads
+// landing pages (only the CDN and chain stages do, and a missing page is
+// ClassNone, not an error), so Pages is nil: the ablations run the same on
+// a streamed world whose pages were released after its measurement.
+func ablationConfig(world *ecosystem.World) measure.Config {
+	return measure.Config{
+		Resolver: world.NewResolver(),
+		Certs:    world.Certs,
+		Pages:    nil,
+		CDNMap:   measure.CDNMap(world.CNAMEToCDN),
+	}
+}
+
 func expectedClass(ss ecosystem.SiteSnapshot) core.DepClass {
 	switch ss.DNSMode {
 	case ecosystem.DepPrivate:
@@ -118,18 +124,11 @@ type ThresholdRow struct {
 // with provider-pointing SOAs become unmeasurable.
 func ThresholdSweep(ctx context.Context, run *Run, thresholds []int) ([]ThresholdRow, error) {
 	world := run.Y2020.World
-	if world.Streamed {
-		return nil, fmt.Errorf("analysis: threshold sweeps re-measure the world and need resident pages; run without -compact/-mem-budget")
-	}
 	var out []ThresholdRow
 	for _, th := range thresholds {
-		res, err := measure.Run(ctx, world.Sites, measure.Config{
-			Resolver:               world.NewResolver(),
-			Certs:                  world.Certs,
-			Pages:                  world,
-			CDNMap:                 measure.CDNMap(world.CNAMEToCDN),
-			ConcentrationThreshold: th,
-		})
+		cfg := ablationConfig(world)
+		cfg.ConcentrationThreshold = th
+		res, err := measure.Run(ctx, world.Sites, cfg)
 		if err != nil {
 			return nil, err
 		}

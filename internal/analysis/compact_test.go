@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -54,9 +55,6 @@ func TestCompactExecuteReportByteIdentical(t *testing.T) {
 			for _, sd := range []*SnapshotData{compact.Y2016, compact.Y2020} {
 				if sd.Compact == nil {
 					t.Fatalf("%s: compact run carries no CompactGraph", sd.Snapshot)
-				}
-				if !sd.World.Streamed {
-					t.Errorf("%s: compact world not marked Streamed", sd.Snapshot)
 				}
 				if len(sd.World.Pages) != 0 {
 					t.Errorf("%s: %d pages left resident after streamed run", sd.Snapshot, len(sd.World.Pages))
@@ -143,19 +141,36 @@ func TestCompactMemBudgetEnforced(t *testing.T) {
 	}
 }
 
-// TestAblationsRejectStreamedWorlds: re-measuring consumers fail with a
-// clear error instead of silently measuring a page-less world.
-func TestAblationsRejectStreamedWorlds(t *testing.T) {
-	run, err := Execute(context.Background(), Options{Scale: 300, Seed: 1, Compact: true})
+// TestAblationsOnCompactRunMatchDefault: the ablations re-measure without
+// landing pages, so on a compact run, whose pages were released batch by
+// batch, they report exactly the rows of the default path at the same seed.
+func TestAblationsOnCompactRunMatchDefault(t *testing.T) {
+	ctx := context.Background()
+	normal, compact := execPair(t, Options{Scale: 300, Seed: 1})
+	if n := len(compact.Y2020.World.Pages); n != 0 {
+		t.Fatalf("compact world kept %d pages resident", n)
+	}
+	wantRows, err := HeuristicAblation(ctx, normal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := HeuristicAblation(context.Background(), run); err == nil ||
-		!strings.Contains(err.Error(), "resident pages") {
-		t.Fatalf("HeuristicAblation on streamed world: %v", err)
+	gotRows, err := HeuristicAblation(ctx, compact)
+	if err != nil {
+		t.Fatalf("HeuristicAblation on compact run: %v", err)
 	}
-	if _, err := ThresholdSweep(context.Background(), run, []int{50}); err == nil ||
-		!strings.Contains(err.Error(), "resident pages") {
-		t.Fatalf("ThresholdSweep on streamed world: %v", err)
+	if !reflect.DeepEqual(gotRows, wantRows) {
+		t.Errorf("HeuristicAblation rows differ:\ncompact %+v\ndefault %+v", gotRows, wantRows)
+	}
+	thresholds := []int{5, 50, 200}
+	wantSweep, err := ThresholdSweep(ctx, normal, thresholds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSweep, err := ThresholdSweep(ctx, compact, thresholds)
+	if err != nil {
+		t.Fatalf("ThresholdSweep on compact run: %v", err)
+	}
+	if !reflect.DeepEqual(gotSweep, wantSweep) {
+		t.Errorf("ThresholdSweep rows differ:\ncompact %+v\ndefault %+v", gotSweep, wantSweep)
 	}
 }

@@ -83,8 +83,8 @@ type Options struct {
 	// each batch), snapshots run sequentially instead of concurrently, and
 	// each snapshot additionally carries a core.CompactGraph. The report
 	// output is byte-identical to the default path. Incompatible with
-	// checkpointing (a stream exists to avoid holding what a checkpoint
-	// would record).
+	// checkpointing: resume validates sites by content fingerprints, which
+	// hash landing pages a streamed run has already released.
 	Compact bool
 	// MemBudget, in bytes, soft-limits live heap on the compact path:
 	// checked at batch boundaries, a run that stays over budget after GC
@@ -178,16 +178,9 @@ func Execute(ctx context.Context, opts Options) (*Run, error) {
 	return run, nil
 }
 
-func measureSnapshot(ctx context.Context, u *ecosystem.Universe, snap ecosystem.Snapshot, opts Options) (*SnapshotData, error) {
-	defer telemetry.StartSpan("analysis.measure_snapshot").End()
-	if opts.Compact {
-		return measureSnapshotCompact(ctx, u, snap, opts)
-	}
-	w := ecosystem.Materialize(u, snap)
-	if opts.Chains != nil && opts.Chains.Enabled() {
-		ecosystem.MaterializeChains(u, w, *opts.Chains)
-	}
-	cfg := measure.Config{
+// measureConfig is the measurement config both snapshot paths run with.
+func measureConfig(w *ecosystem.World, opts Options) measure.Config {
+	return measure.Config{
 		Resolver:               w.NewResolver(),
 		Certs:                  w.Certs,
 		Pages:                  w,
@@ -197,6 +190,18 @@ func measureSnapshot(ctx context.Context, u *ecosystem.Universe, snap ecosystem.
 		ErrorPolicy:            opts.ErrorPolicy,
 		Chains:                 opts.Chains,
 	}
+}
+
+func measureSnapshot(ctx context.Context, u *ecosystem.Universe, snap ecosystem.Snapshot, opts Options) (*SnapshotData, error) {
+	defer telemetry.StartSpan("analysis.measure_snapshot").End()
+	if opts.Compact {
+		return measureSnapshotCompact(ctx, u, snap, opts)
+	}
+	w := ecosystem.Materialize(u, snap)
+	if opts.Chains != nil && opts.Chains.Enabled() {
+		ecosystem.MaterializeChains(u, w, *opts.Chains)
+	}
+	cfg := measureConfig(w, opts)
 	if opts.CheckpointPath != "" {
 		path := fmt.Sprintf("%s.%s", opts.CheckpointPath, snap)
 		cfg.CheckpointLabel = snap.String()
@@ -239,16 +244,7 @@ func measureSnapshotCompact(ctx context.Context, u *ecosystem.Universe, snap eco
 		c.EnableChains(*opts.Chains)
 	}
 	w := c.World()
-	st, err := measure.NewStream(c.SiteNames(), measure.Config{
-		Resolver:               w.NewResolver(),
-		Certs:                  w.Certs,
-		Pages:                  w,
-		CDNMap:                 measure.CDNMap(w.CNAMEToCDN),
-		Workers:                opts.Workers,
-		ConcentrationThreshold: opts.ConcentrationThreshold,
-		ErrorPolicy:            opts.ErrorPolicy,
-		Chains:                 opts.Chains,
-	})
+	st, err := measure.NewStream(c.SiteNames(), measureConfig(w, opts))
 	if err != nil {
 		return nil, err
 	}

@@ -142,9 +142,7 @@ func (cg *CompactGraph) SetMetricsWorkers(n int) {
 // Metrics returns the graph's batched metrics engine, built directly over
 // the columnar arrays on first use: site rows are the bitset indexes, so
 // the engine's init() never runs — names, bases and edges are materialized
-// here and the SCC/propagation machinery consumes them as-is. The engine is
-// pinned to StrategyBatch: the lazy recursive strategy walks the pointer
-// graph, which a compact-built engine does not have.
+// here and the SCC/propagation machinery consumes them as-is.
 func (cg *CompactGraph) Metrics() *MetricsEngine {
 	cg.metricsMu.Lock()
 	defer cg.metricsMu.Unlock()
@@ -285,12 +283,9 @@ func (cg *CompactGraph) buildEngine(workers int) *MetricsEngine {
 	}
 
 	// The engine is born initialized: consume both onces so entry() goes
-	// straight to propagation, and pin the batch strategy — the lazy path
-	// needs a pointer graph this engine deliberately lacks.
+	// straight to propagation.
 	e.namesOnce.Do(func() {})
 	e.initOnce.Do(func() {})
-	e.initDone.Store(true)
-	e.strategy = StrategyBatch
 	return e
 }
 

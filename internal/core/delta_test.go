@@ -176,25 +176,27 @@ func sortStrings(s []string) {
 	}
 }
 
-// deltaStreamAgrees drives one randomized delta stream under the given
-// engine strategy and checks, after every step, that the carried engine's
-// counts are identical to a from-scratch engine over the same structure —
-// both through per-name queries (the memo/patch path) and complete Counts
-// maps (the promotion/batch path) — and that the predecessor graph still
-// answers its old counts (immutability).
-func deltaStreamAgrees(t *testing.T, seed int64, strat Strategy) bool {
+// deltaStreamAgrees drives one randomized delta stream and checks, after
+// every step, that the carried engine's counts equal the recursive
+// reference walks over a from-scratch graph of the same structure — both
+// through per-name queries and complete Counts maps — and that the
+// predecessor graph still answers its old counts (immutability). Before
+// the stream, the first viaCounts traversal keys are filled through
+// Counts and the rest through per-name queries, so Apply carries entries
+// that were filled either way.
+func deltaStreamAgrees(t *testing.T, seed int64, viaCounts int) bool {
 	optsList := []TraversalOpts{DirectOnly(), AllIndirect(), {ViaProviders: []Service{CA}}}
 	rng := rand.New(rand.NewSource(seed))
 	cur := randomGraph(seed)
-	cur.Metrics().SetStrategy(strat)
-	// Prime the cache so Apply has state to carry: complete maps for two
-	// keys, per-name memos only for the third.
-	for _, opts := range optsList[:2] {
-		cur.Metrics().Counts(opts)
-	}
-	for name := range cur.Providers {
-		cur.Metrics().Concentration(name, optsList[2])
-		cur.Metrics().Impact(name, optsList[2])
+	for i, opts := range optsList {
+		if i < viaCounts {
+			cur.Metrics().Counts(opts)
+			continue
+		}
+		for name := range cur.Providers {
+			cur.Metrics().Concentration(name, opts)
+			cur.Metrics().Impact(name, opts)
+		}
 	}
 
 	for step := 0; step < 5; step++ {
@@ -217,8 +219,6 @@ func deltaStreamAgrees(t *testing.T, seed int64, strat Strategy) bool {
 		ref := fromScratch(ng)
 		for _, opts := range optsList {
 			label := "seed " + itoa(int(seed&0xffff)) + " step " + itoa(step)
-			// Per-name queries first: on lazy entries this exercises the
-			// carried memos before Counts promotes the entry.
 			for name := range ref.Providers {
 				if ng.Concentration(name, opts) != len(ref.ConcentrationSet(name, opts)) {
 					t.Logf("%s: per-name C(%s) diverged", label, name)
@@ -230,8 +230,7 @@ func deltaStreamAgrees(t *testing.T, seed int64, strat Strategy) bool {
 				}
 			}
 			gotC, gotI := ng.Metrics().Counts(opts)
-			wantC, wantI := ref.Metrics().Counts(opts)
-			if !countsAgree(t, label+" conc", gotC, wantC) || !countsAgree(t, label+" imp", gotI, wantI) {
+			if !countsMatchWalks(t, label, ref, opts, gotC, gotI) {
 				return false
 			}
 		}
@@ -250,19 +249,45 @@ func deltaStreamAgrees(t *testing.T, seed int64, strat Strategy) bool {
 	return true
 }
 
-// Property: delta-maintained counts equal from-scratch counts after every
-// step of a randomized delta stream, under every engine strategy.
+// countsMatchWalks checks complete Counts maps against the reference walks
+// on ref: every name the maps carry (a carried engine may keep zero-count
+// names that left the graph) and every provider ref declares.
+func countsMatchWalks(t *testing.T, label string, ref *Graph, opts TraversalOpts, conc, imp map[string]int) bool {
+	names := make(map[string]bool, len(conc))
+	for name := range conc {
+		names[name] = true
+	}
+	for name := range ref.Providers {
+		names[name] = true
+	}
+	for name := range names {
+		if got, want := conc[name], len(ref.ConcentrationSet(name, opts)); got != want {
+			t.Logf("%s: Counts C(%s) = %d, walk = %d", label, name, got, want)
+			return false
+		}
+		if got, want := imp[name], len(ref.ImpactSet(name, opts)); got != want {
+			t.Logf("%s: Counts I(%s) = %d, walk = %d", label, name, got, want)
+			return false
+		}
+	}
+	return true
+}
+
+// Property: delta-maintained counts equal the reference walks after every
+// step of a randomized delta stream, whichever way the carried cache was
+// filled: "batch" fills every key through Counts, "recursive" every key
+// through per-name queries, and "auto" mixes the two.
 func TestPropertyDeltaStreamMatchesFromScratch(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		strat Strategy
+		name      string
+		viaCounts int
 	}{
-		{"auto", StrategyAuto},
-		{"batch", StrategyBatch},
-		{"recursive", StrategyRecursive},
+		{"auto", 2},
+		{"batch", 3},
+		{"recursive", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := func(seed int64) bool { return deltaStreamAgrees(t, seed, tc.strat) }
+			f := func(seed int64) bool { return deltaStreamAgrees(t, seed, tc.viaCounts) }
 			if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 				t.Error(err)
 			}
@@ -279,7 +304,6 @@ func TestPropertyDeltaFallbackEquivalent(t *testing.T) {
 
 	f := func(seed int64) bool {
 		cur := randomGraph(seed)
-		cur.Metrics().SetStrategy(StrategyBatch)
 		cur.Metrics().Counts(AllIndirect())
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		d := randomDelta(rng, cur, 0)
@@ -399,7 +423,6 @@ func TestApplyEmptyDeltaReturnsReceiver(t *testing.T) {
 
 func TestApplySiteAddRemoveRoundtrip(t *testing.T) {
 	g := twoSiteGraph()
-	g.Metrics().SetStrategy(StrategyBatch)
 	g.Metrics().Counts(AllIndirect())
 	add := Delta{Ops: []Op{{Kind: OpSiteAdd, Site: &Site{
 		Name: "c.com", Rank: 3,

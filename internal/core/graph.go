@@ -392,11 +392,9 @@ type ProviderStat struct {
 }
 
 // TopProviders ranks the providers of svc by the chosen metric under opts,
-// descending; n <= 0 returns all. Metrics come from the engine's per-name
-// queries: at snapshot scale those are lookups into one cached batch
-// propagation, and on small graphs the engine's lazy strategy instead pays
-// one memoized recursive walk per ranked name — either way far cheaper than
-// the seed's unconditional walk per provider per render.
+// descending; n <= 0 returns all. Metrics are lookups into the engine's one
+// cached batch propagation per traversal view — far cheaper than the seed's
+// unconditional walk per provider per render.
 func (g *Graph) TopProviders(svc Service, opts TraversalOpts, byImpact bool, n int) []ProviderStat {
 	m := g.Metrics()
 	return g.topProviders(svc, byImpact, n, func(pname string) (int, int) {

@@ -9,15 +9,15 @@ import (
 	"depscope/internal/webpage"
 )
 
-// Chunked is the streaming counterpart of Materialize, built for runs whose
-// landing pages do not fit in memory at once. Zones, certificates and the
-// CNAME→CDN map are still fully resident — the measurement's inter-service
-// passes and the validation baselines resolve against them after the site
-// sweep — but pages exist only between MaterializePages and ReleasePages
-// for one batch at a time. The per-site materialization is exactly the
-// monolithic one (siteZone/sitePage in the same per-site order), so a
-// chunked world with all pages materialized is byte-identical to
-// Materialize's output; the invariants tests pin this via SiteFingerprints.
+// Chunked builds a World in site batches, for runs whose landing pages do
+// not fit in memory at once; Materialize is its one-batch case. Zones,
+// certificates and the CNAME→CDN map are fully resident — the measurement's
+// inter-service passes and the validation baselines resolve against them
+// after the site sweep — but a streamed run keeps pages only between
+// MaterializePages and ReleasePages, one batch at a time. Each site's
+// artifacts are a pure function of the universe and the site, so batch
+// boundaries cannot change them; the invariants tests pin this via
+// SiteFingerprints.
 //
 // The intended driving sequence (see analysis.Execute's compact path):
 //
@@ -48,7 +48,6 @@ func NewChunked(u *Universe, snap Snapshot) *Chunked {
 		Certs:      certs.NewStore(),
 		Pages:      make(map[string]*webpage.Page),
 		CNAMEToCDN: make(map[string]string),
-		Streamed:   true,
 	}
 	c := &Chunked{u: u, m: &materializer{u: u, w: w, snap: snap}}
 	c.m.providerZones()

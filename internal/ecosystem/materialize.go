@@ -26,12 +26,6 @@ type World struct {
 	// CNAMEToCDN is the self-populated CNAME-suffix → CDN-name map of the
 	// paper's §3.3, including the known private CDNs.
 	CNAMEToCDN map[string]string
-	// Streamed marks a world built by the chunked/streaming path: landing
-	// pages are materialized per batch and released after measurement, so
-	// Pages must not be relied on after the run. Consumers that re-measure
-	// (ablations, sweeps) check this flag and fail with a clear error
-	// instead of silently measuring a page-less world.
-	Streamed bool
 }
 
 // Page returns the landing page of site, or nil.
@@ -50,26 +44,14 @@ var externalDomains = []string{"ext-analytics.com", "ext-fonts.net", "ext-widget
 
 // Materialize renders the snapshot's artifacts from the universe's ground
 // truth: provider zones, site zones, certificates, landing pages and the
-// CNAME→CDN map.
+// CNAME→CDN map. It is a Chunked stream fed as one batch, with every page
+// kept resident.
 func Materialize(u *Universe, snap Snapshot) *World {
-	w := &World{
-		Snapshot:   snap,
-		Scale:      u.Scale,
-		Zones:      dnszone.NewStore(),
-		Certs:      certs.NewStore(),
-		Pages:      make(map[string]*webpage.Page),
-		CNAMEToCDN: make(map[string]string),
-	}
-	m := &materializer{u: u, w: w, snap: snap}
-	m.providerZones()
-	m.externalZones()
-	for _, site := range u.List(snap) {
-		if site.Snap[snap].Exists {
-			m.site(site)
-			w.Sites = append(w.Sites, site.Domain)
-		}
-	}
-	return w
+	c := NewChunked(u, snap)
+	n := c.Len()
+	c.AddSites(0, n)
+	c.MaterializePages(0, n)
+	return c.World()
 }
 
 type materializer struct {
@@ -250,16 +232,6 @@ func pkiDomain(site *Site) string {
 		base = base[:i]
 	}
 	return base + "-pki.net"
-}
-
-// site materializes one website: its zone(s), certificate and landing page.
-// The zone and page halves are separable so the chunked path (chunked.go)
-// can materialize all zones in one sweep and pages batch-by-batch; calling
-// them back to back here produces a world byte-identical to the historical
-// single-pass materialization (pinned by the invariants tests).
-func (m *materializer) site(s *Site) {
-	m.siteZone(s)
-	m.sitePage(s)
 }
 
 // siteInternalHosts returns the site-owned hosts its landing page loads

@@ -117,49 +117,74 @@ func (m *measurer) classifySiteChains(_ context.Context, site string) ([]ChainRe
 	return refs, nil
 }
 
-// chainService is the chain inter-service pass: it resolves each
-// discovered vendor's own DNS arrangement (owner heuristics, like CDN/CA
-// apexes) and detects CDNs fronting the vendor's observed resource hosts,
-// filling Results.ResourceToDNS / ResourceToCDN. It also publishes the
-// run-level chain telemetry aggregates.
-func (m *measurer) chainService(ctx context.Context, res *Results) error {
-	vendors := m.chainAggregates(res)
+// captureHosts records the deduplicated (registrable domain, host) pairs
+// of every resource on the pages of sites [lo, hi) that have chain edges.
+// It runs while the batch's pages are live; chainPass later filters the
+// pairs through the complete vendor population.
+func (s *Stream) captureHosts(lo, hi int) {
+	pages := s.m.cfg.Pages
+	if pages == nil {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		if len(s.res.Sites[i].Chains) == 0 {
+			continue
+		}
+		page := pages.Page(s.sites[i])
+		if page == nil {
+			continue
+		}
+		var cand []rdHost
+		for _, r := range page.Resources {
+			if r.Host == "" {
+				continue
+			}
+			rd := publicsuffix.RegistrableDomain(r.Host)
+			if rd == "" {
+				continue
+			}
+			dup := false
+			for _, c := range cand {
+				if c.host == r.Host {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				cand = append(cand, rdHost{rd: rd, host: r.Host})
+			}
+		}
+		s.hostCand[i] = cand
+	}
+}
 
-	// Observed hosts per vendor (for CNAME-chain CDN detection), gathered
-	// sequentially from the pages so the host lists are deterministic.
+// chainPass is the chain inter-service pass: it resolves each discovered
+// vendor's own DNS arrangement (owner heuristics, like CDN/CA apexes) and
+// detects CDNs fronting the vendor's observed resource hosts, filling
+// Results.ResourceToDNS / ResourceToCDN. The vendor population is complete
+// only now, so the per-batch host candidates are filtered through it; site
+// order and first-seen dedup make the host lists independent of batching.
+func (s *Stream) chainPass(ctx context.Context, res *Results) error {
+	vendors := s.m.chainAggregates(res)
 	vendorHosts := make(map[string][]string, len(vendors))
-	if m.cfg.Pages != nil {
-		for i := range res.Sites {
-			if len(res.Sites[i].Chains) == 0 {
+	for i := range res.Sites {
+		for _, c := range s.hostCand[i] {
+			if !vendors[c.rd] {
 				continue
 			}
-			page := m.cfg.Pages.Page(res.Sites[i].Site)
-			if page == nil {
-				continue
-			}
-			for _, r := range page.Resources {
-				if r.Host == "" {
-					continue
-				}
-				rd := publicsuffix.RegistrableDomain(r.Host)
-				if !vendors[rd] {
-					continue
-				}
-				if hosts := vendorHosts[rd]; !containsStr(hosts, r.Host) {
-					vendorHosts[rd] = append(vendorHosts[rd], r.Host)
-				}
+			if hosts := vendorHosts[c.rd]; !containsStr(hosts, c.host) {
+				vendorHosts[c.rd] = append(vendorHosts[c.rd], c.host)
 			}
 		}
 	}
-	sortVendorHosts(vendorHosts)
-
-	return m.chainResolve(ctx, res, vendors, vendorHosts)
+	for _, hosts := range vendorHosts {
+		sort.Strings(hosts)
+	}
+	return s.m.chainResolve(ctx, res, vendors, vendorHosts)
 }
 
 // chainAggregates derives the vendor population from the site pass and
-// publishes the run-level chain telemetry. Shared between the monolithic
-// pass above and the streaming Finish, which gathers vendor hosts per batch
-// instead (pages are gone by the time the vendor population is complete).
+// publishes the run-level chain telemetry.
 func (m *measurer) chainAggregates(res *Results) map[string]bool {
 	vendors := make(map[string]bool)
 	edges, depthSum, maxDepth := 0, 0, 0
@@ -180,13 +205,6 @@ func (m *measurer) chainAggregates(res *Results) map[string]bool {
 		chainMeanDepthMilli.Set(int64(float64(depthSum) / float64(edges) * 1000))
 	}
 	return vendors
-}
-
-// sortVendorHosts orders each vendor's observed host list.
-func sortVendorHosts(vendorHosts map[string][]string) {
-	for _, hosts := range vendorHosts {
-		sort.Strings(hosts)
-	}
 }
 
 // chainResolve resolves every vendor's own DNS/CDN arrangement into

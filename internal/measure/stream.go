@@ -8,12 +8,12 @@ import (
 
 	"depscope/internal/conc"
 	"depscope/internal/core"
-	"depscope/internal/publicsuffix"
 	"depscope/internal/telemetry"
 )
 
-// Stream is the batched form of Run for worlds whose landing pages are
-// materialized and released one batch at a time. The driving sequence is
+// Stream is the measurement pipeline, driven over ranked site ranges so
+// that worlds whose landing pages are materialized and released one batch
+// at a time can be measured. The driving sequence is
 //
 //	st, _ := NewStream(sites, cfg)
 //	for each batch: st.ResolveBatch(ctx, lo, hi)   // zones must exist
@@ -21,30 +21,37 @@ import (
 //	for each batch: st.MeasureBatch(ctx, lo, hi)   // pages must exist
 //	res, _ := st.Finish(ctx)
 //
-// and yields Results identical to Run over the same fully-materialized
-// world (the ecosystem invariants tests pin this, worker counts included).
-// The split exists because of two global signals: the §3.1 concentration
-// signal needs every site's NS set before any site can be classified
-// (hence the Seal barrier between the resolve and measure sweeps), and the
-// chain vendor population is only complete after the last batch (hence
-// vendor hosts are gathered per batch, while the batch's pages are still
-// live, and resolved in Finish).
+// Run is this sequence with one batch covering every site, and the Results
+// do not depend on the batching (the stream and ecosystem invariants tests
+// pin this, worker counts included). The split exists because of two global
+// signals: the §3.1 concentration signal needs every site's NS set before
+// any site can be classified (hence the Seal barrier between the resolve
+// and measure sweeps), and the chain vendor population is only complete
+// after the last batch (hence vendor hosts are gathered per batch, while
+// the batch's pages are still live, and resolved in Finish).
 //
-// Checkpointing is not supported on the streaming path: a stream exists to
-// avoid holding what a checkpoint would have to record.
+// Checkpointing works at any batching: ResolveBatch reuses checkpointed NS
+// sets, Seal records the pass-1 outcome and emits the first checkpoint,
+// MeasureBatch reuses checkpointed site results and emits every
+// Config.CheckpointEvery completions, and Finish emits the final one.
 type Stream struct {
 	m      *measurer
 	sites  []string
 	nsSets [][]string
 	res    *Results
+	// ck records and replays checkpointed progress; nil when the run is
+	// not checkpointed.
+	ck *ckptRun
+	// err is Seal's checkpoint-emission failure, reported by the next
+	// MeasureBatch or Finish (Seal itself returns nothing).
+	err error
 
 	sealed   bool
 	finished bool
 
 	// hostCand[i] holds site i's deduplicated (registrable domain, host)
 	// resource pairs, captured during the site's batch. Finish filters them
-	// through the complete vendor population — replaying exactly the
-	// sequential page walk chainService performs monolithically. Nil unless
+	// through the complete vendor population (see chainPass). Nil unless
 	// chains are enabled.
 	hostCand [][]rdHost
 }
@@ -52,16 +59,18 @@ type Stream struct {
 type rdHost struct{ rd, host string }
 
 // NewStream validates cfg and prepares a stream over the full ranked site
-// list (known up front; only the per-site artifacts stream).
+// list (known up front; only the per-site artifacts stream). A configured
+// prior checkpoint is validated here and its resolver cache seeded back.
 func NewStream(sites []string, cfg Config) (*Stream, error) {
 	if cfg.Resolver == nil {
 		return nil, fmt.Errorf("measure: Config.Resolver is required")
 	}
-	if cfg.Checkpoint != nil || cfg.OnCheckpoint != nil {
-		return nil, fmt.Errorf("measure: checkpointing is not supported on the streaming path")
-	}
 	if cfg.ConcentrationThreshold == 0 {
 		cfg.ConcentrationThreshold = 50
+	}
+	ck, err := newCkptRun(&cfg, len(sites))
+	if err != nil {
+		return nil, err
 	}
 	m := &measurer{
 		cfg:    cfg,
@@ -72,17 +81,14 @@ func NewStream(sites []string, cfg Config) (*Stream, error) {
 		m.stages = append(m.stages, chainStage{})
 	}
 	m.initTelemetry()
-	return &Stream{m: m, sites: sites, nsSets: make([][]string, len(sites))}, nil
+	return &Stream{m: m, sites: sites, nsSets: make([][]string, len(sites)), ck: ck}, nil
 }
 
-// Len returns the number of sites in the stream.
-func (s *Stream) Len() int { return len(s.sites) }
-
-// SiteResult exposes site i's (possibly not yet measured) result row.
-func (s *Stream) SiteResult(i int) *SiteResult { return &s.res.Sites[i] }
-
 // ResolveBatch runs the pass-1 NS resolution for sites [lo, hi). The
-// sites' zones must be materialized; pages are not needed.
+// sites' zones must be materialized; pages are not needed. Under
+// conc.Collect an unresolvable site keeps a nil NS set — the DNS stage then
+// reports it uncharacterized — and the error is recorded instead of
+// aborting the run.
 func (s *Stream) ResolveBatch(ctx context.Context, lo, hi int) error {
 	if s.sealed {
 		panic("measure: Stream.ResolveBatch after Seal")
@@ -91,6 +97,13 @@ func (s *Stream) ResolveBatch(ctx context.Context, lo, hi int) error {
 	defer telemetry.StartSpan("measure.resolve_pass").End()
 	return conc.ForEach(ctx, hi-lo, m.cfg.Workers, conc.FailFast, func(ctx context.Context, j int) error {
 		i := lo + j
+		if s.ck != nil {
+			if ns, ok := s.ck.priorNS(s.sites[i]); ok {
+				s.nsSets[i] = ns
+				ckptNSReused.Inc()
+				return nil
+			}
+		}
 		start := time.Now()
 		ns, err := m.cfg.Resolver.NS(ctx, s.sites[i])
 		m.resolveHist.ObserveDuration(time.Since(start))
@@ -112,7 +125,9 @@ func (s *Stream) ResolveBatch(ctx context.Context, lo, hi int) error {
 // Seal closes pass 1: the concentration signal is computed over the full
 // population and the CDN map is compiled — deferred to here because
 // per-site CNAME→CDN entries (private CDNs) appear while site zones
-// materialize, and Config.CDNMap may alias that live map.
+// materialize, and Config.CDNMap may alias that live map. A checkpointed
+// stream records every site's NS set and emits the pass-1 checkpoint here;
+// an emission error surfaces from the next MeasureBatch or Finish.
 func (s *Stream) Seal() {
 	if s.sealed {
 		panic("measure: Stream.Seal called twice")
@@ -129,6 +144,12 @@ func (s *Stream) Seal() {
 	if s.m.chainEnabled() {
 		s.hostCand = make([][]rdHost, len(s.sites))
 	}
+	if s.ck != nil {
+		for i, site := range s.sites {
+			s.ck.recordNS(site, s.nsSets[i])
+		}
+		s.err = s.ck.emitNow()
+	}
 }
 
 // MeasureBatch runs the pass-2 per-site classification for sites [lo, hi),
@@ -140,66 +161,56 @@ func (s *Stream) MeasureBatch(ctx context.Context, lo, hi int) error {
 	if !s.sealed {
 		panic("measure: Stream.MeasureBatch before Seal")
 	}
+	if s.err != nil {
+		return s.err
+	}
 	m := s.m
 	sitePass := telemetry.StartSpan("measure.site_pass")
 	err := conc.ForEach(ctx, hi-lo, m.cfg.Workers, conc.FailFast, func(ctx context.Context, j int) error {
 		i := lo + j
+		site, result := s.sites[i], &s.res.Sites[i]
+		if s.ck != nil {
+			if prior := s.ck.priorResult(site); prior != nil {
+				// Reuse the checkpointed result, re-anchoring identity and
+				// rank in case the edited universe reordered the list.
+				*result = *prior
+				result.Site, result.Rank = site, i+1
+				ckptReused.Inc()
+				return s.ck.siteDone(site, result)
+			}
+		}
 		sc := &SiteContext{
-			Site:   s.sites[i],
+			Site:   site,
 			Rank:   i + 1,
 			NS:     s.nsSets[i],
 			Conc:   s.res.NSConcentration,
-			Result: &s.res.Sites[i],
+			Result: result,
 			m:      m,
 		}
-		sc.Result.Site, sc.Result.Rank = sc.Site, sc.Rank
-		return m.dispatch(ctx, sc)
+		result.Site, result.Rank = sc.Site, sc.Rank
+		if err := m.dispatch(ctx, sc); err != nil {
+			return err
+		}
+		if s.ck != nil {
+			return s.ck.siteDone(site, result)
+		}
+		return nil
 	})
 	sitePass.End()
 	if err != nil {
 		return err
 	}
-
-	if s.hostCand != nil && m.cfg.Pages != nil {
-		for i := lo; i < hi; i++ {
-			if len(s.res.Sites[i].Chains) == 0 {
-				continue
-			}
-			page := m.cfg.Pages.Page(s.sites[i])
-			if page == nil {
-				continue
-			}
-			var cand []rdHost
-			for _, r := range page.Resources {
-				if r.Host == "" {
-					continue
-				}
-				rd := publicsuffix.RegistrableDomain(r.Host)
-				if rd == "" {
-					continue
-				}
-				dup := false
-				for _, c := range cand {
-					if c.host == r.Host {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					cand = append(cand, rdHost{rd: rd, host: r.Host})
-				}
-			}
-			s.hostCand[i] = cand
-		}
+	if s.hostCand != nil {
+		s.captureHosts(lo, hi)
 	}
 	return nil
 }
 
 // Finish runs the cross-site accounting and the pass-3/pass-4
-// inter-service measurements, and returns the completed Results. Pages may
-// already be fully released: pass 3 needs only the per-site aggregates and
-// the resident zones, and pass 4 replays the vendor-host candidates
-// captured batch by batch.
+// inter-service measurements, emits the final checkpoint, and returns the
+// completed Results. Pages may already be fully released: pass 3 needs only
+// the per-site aggregates and the resident zones, and pass 4 replays the
+// vendor-host candidates captured batch by batch.
 func (s *Stream) Finish(ctx context.Context) (*Results, error) {
 	if !s.sealed {
 		panic("measure: Stream.Finish before Seal")
@@ -208,9 +219,13 @@ func (s *Stream) Finish(ctx context.Context) (*Results, error) {
 		panic("measure: Stream.Finish called twice")
 	}
 	s.finished = true
+	if s.err != nil {
+		return nil, s.err
+	}
 	m := s.m
 	res := s.res
 
+	// Pair accounting over distinct (site, nameserver) pairs.
 	res.EvidenceCounts = make(map[string]int)
 	for i := range res.Sites {
 		if res.Sites[i].DNS.Class == core.ClassUnknown {
@@ -241,9 +256,16 @@ func (s *Stream) Finish(ctx context.Context) (*Results, error) {
 
 	if m.chainEnabled() {
 		chainPass := telemetry.StartSpan("measure.chain_pass")
-		err = s.chainFinish(ctx, res)
+		err = s.chainPass(ctx, res)
 		chainPass.End()
 		if err != nil {
+			return nil, err
+		}
+	}
+	if s.ck != nil {
+		// Final snapshot: the complete run, usable later as the baseline for
+		// an edited-universe incremental re-measurement.
+		if err := s.ck.emitNow(); err != nil {
 			return nil, err
 		}
 	}
@@ -251,25 +273,4 @@ func (s *Stream) Finish(ctx context.Context) (*Results, error) {
 	res.Diagnostics = m.diag.snapshot(m.stageOrder(), m.cfg.Resolver.Stats())
 	res.Telemetry = telemetry.Default.Snapshot()
 	return res, nil
-}
-
-// chainFinish is the streaming pass 4: the vendor population is complete
-// only now, so the per-batch host candidates are filtered through it —
-// site order and first-seen dedup reproduce the monolithic walk exactly —
-// and the vendors resolved as usual.
-func (s *Stream) chainFinish(ctx context.Context, res *Results) error {
-	vendors := s.m.chainAggregates(res)
-	vendorHosts := make(map[string][]string, len(vendors))
-	for i := range res.Sites {
-		for _, c := range s.hostCand[i] {
-			if !vendors[c.rd] {
-				continue
-			}
-			if hosts := vendorHosts[c.rd]; !containsStr(hosts, c.host) {
-				vendorHosts[c.rd] = append(vendorHosts[c.rd], c.host)
-			}
-		}
-	}
-	sortVendorHosts(vendorHosts)
-	return s.m.chainResolve(ctx, res, vendors, vendorHosts)
 }

@@ -5,7 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"strings"
+	"errors"
+	"fmt"
 	"testing"
 
 	"depscope/internal/chain"
@@ -49,54 +50,59 @@ func streamHash(t *testing.T, res *Results) string {
 func driveStream(t *testing.T, u *ecosystem.Universe, snap ecosystem.Snapshot,
 	chains *chain.Config, workers, batch int) *Results {
 	t.Helper()
+	res, err := runStream(u, snap, chains, workers, batch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runStream is driveStream with the error returned instead of fatal, and a
+// hook to adjust the Config (checkpointing) before the stream starts.
+func runStream(u *ecosystem.Universe, snap ecosystem.Snapshot, chains *chain.Config,
+	workers, batch int, adjust func(*Config)) (*Results, error) {
 	c := ecosystem.NewChunked(u, snap)
 	if chains != nil {
 		c.EnableChains(*chains)
 	}
 	w := c.World()
-	st, err := NewStream(c.SiteNames(), Config{
+	cfg := Config{
 		Resolver: w.NewResolver(),
 		Certs:    w.Certs,
 		Pages:    w,
 		CDNMap:   CDNMap(w.CNAMEToCDN),
 		Workers:  workers,
 		Chains:   chains,
-	})
+	}
+	if adjust != nil {
+		adjust(&cfg)
+	}
+	st, err := NewStream(c.SiteNames(), cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	ctx := context.Background()
 	n := c.Len()
 	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+batch, n)
 		c.AddSites(lo, hi)
 		if err := st.ResolveBatch(ctx, lo, hi); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
 	st.Seal()
 	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+batch, n)
 		c.MaterializePages(lo, hi)
 		if err := st.MeasureBatch(ctx, lo, hi); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		c.ReleasePages(lo, hi)
 	}
 	if len(w.Pages) != 0 {
-		t.Fatalf("stream left %d pages resident", len(w.Pages))
+		return nil, fmt.Errorf("stream left %d pages resident", len(w.Pages))
 	}
-	res, err := st.Finish(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return st.Finish(ctx)
 }
 
 // TestStreamMatchesRun is the streaming pinning property: batching the
@@ -160,20 +166,82 @@ func TestStreamWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamRejectsCheckpointing: the streaming path refuses checkpoint
-// configs instead of silently ignoring them.
-func TestStreamRejectsCheckpointing(t *testing.T) {
-	u, err := ecosystem.Generate(ecosystem.Options{Scale: 10, Seed: 1})
+// TestStreamCheckpointResumeMatchesRun is the streamed checkpoint pin: a
+// stream driven in several batches, interrupted through its checkpoint
+// callback in the middle of pass 2 and resumed (at a different batching)
+// from its last checkpoint, yields Results byte-identical to an
+// uninterrupted one-batch Run.
+func TestStreamCheckpointResumeMatchesRun(t *testing.T) {
+	const scale, seed, batch = 300, 2020, 64
+	chains := chain.Default()
+	u, err := ecosystem.Generate(ecosystem.Options{Scale: scale, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := ecosystem.NewChunked(u, ecosystem.Y2020)
-	w := c.World()
-	_, err = NewStream(c.SiteNames(), Config{
-		Resolver:     w.NewResolver(),
-		OnCheckpoint: func(*Checkpoint) error { return nil },
+	w := ecosystem.Materialize(u, ecosystem.Y2020)
+	ecosystem.MaterializeChains(u, w, chains)
+	ref, err := Run(context.Background(), w.Sites, Config{
+		Resolver: w.NewResolver(),
+		Certs:    w.Certs,
+		Pages:    w,
+		CDNMap:   CDNMap(w.CNAMEToCDN),
+		Workers:  4,
+		Chains:   &chains,
 	})
-	if err == nil || !strings.Contains(err.Error(), "streaming") {
-		t.Fatalf("want streaming-checkpoint rejection, got %v", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := streamHash(t, ref)
+
+	// Emission 1 is Seal's pass-1 checkpoint; emissions 2-4 follow every
+	// 25 site completions, so the abort lands in the second batch.
+	var captured *Checkpoint
+	emissions := 0
+	_, err = runStream(u, ecosystem.Y2020, &chains, 4, batch, func(c *Config) {
+		c.CheckpointLabel = "2020"
+		c.CheckpointEvery = 25
+		c.OnCheckpoint = func(cp *Checkpoint) error {
+			emissions++
+			captured = cp
+			if emissions >= 4 {
+				return errInterrupted
+			}
+			return nil
+		}
+	})
+	if !errors.Is(err, errInterrupted) {
+		t.Fatalf("interrupted stream error = %v, want %v", err, errInterrupted)
+	}
+	done := 0
+	for _, sc := range captured.Sites {
+		if sc.Done {
+			done++
+		}
+	}
+	n := len(w.Sites)
+	if done <= batch || done >= n {
+		t.Fatalf("checkpoint has %d done sites, want more than one batch (%d) and fewer than %d",
+			done, batch, n)
+	}
+	if len(captured.Sites) != n {
+		t.Fatalf("checkpoint records %d sites, want every site's NS set (%d)", len(captured.Sites), n)
+	}
+
+	reusedBefore, nsBefore := ckptReused.Value(), ckptNSReused.Value()
+	res, err := runStream(u, ecosystem.Y2020, &chains, 4, 37, func(c *Config) {
+		c.CheckpointLabel = "2020"
+		c.Checkpoint = captured
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ckptReused.Value() - reusedBefore; got != int64(done) {
+		t.Errorf("resumed stream reused %d checkpointed sites, want %d", got, done)
+	}
+	if got := ckptNSReused.Value() - nsBefore; got != int64(n) {
+		t.Errorf("resumed stream reused %d NS sets, want %d", got, n)
+	}
+	if got := streamHash(t, res); got != want {
+		t.Fatalf("resumed stream hash %s, want uninterrupted Run %s", got, want)
 	}
 }
